@@ -338,7 +338,7 @@ def main() -> None:
     compiled = CompiledBackend()
     if compiled.provider_name is None:
         print("[compiled] no JIT provider available "
-              "(numba or a C compiler); skipping compiled columns")
+              "(no C compiler); skipping compiled columns")
         compiled = None
 
     results = host_envelope("kernel_batching")

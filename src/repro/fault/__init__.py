@@ -11,7 +11,8 @@
   durable-execution kill campaign (:mod:`repro.recover`).
 * :mod:`repro.fault.policy` — the runtime response ladder (off /
   detect / detect+retry / detect+degrade).
-* :mod:`repro.fault.report` — structured campaign results.
+* :mod:`repro.fault.report` — the campaign core shared by every
+  injection harness: one outcome taxonomy, one report, one gate.
 * :mod:`repro.fault.campaign` / :mod:`repro.fault.cli` — seeded
   site x kind x cycle x bit sweeps (``python -m repro.fault``); import
   them directly, they are kept out of this namespace so the FHE backend
@@ -42,7 +43,7 @@ from repro.fault.injector import (
 )
 from repro.fault.integrity import SPARE_MODULUS, AbftChecker
 from repro.fault.policy import IntegrityPolicy
-from repro.fault.report import OUTCOMES, FaultEvent, FaultReport
+from repro.fault.report import OUTCOMES, CampaignEvent, CampaignReport
 
 __all__ = [
     "ALL_SITES",
@@ -55,11 +56,11 @@ __all__ = [
     "SITE_WAL_MID_RECORD",
     "SPARE_MODULUS",
     "AbftChecker",
+    "CampaignEvent",
+    "CampaignReport",
     "CrashInjector",
     "CrashSpec",
-    "FaultEvent",
     "FaultInjector",
-    "FaultReport",
     "FaultSpec",
     "IntegrityPolicy",
     "crash_point",

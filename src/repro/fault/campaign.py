@@ -4,9 +4,8 @@ A campaign sweeps fault **site x kind x cycle x bit** with a seeded RNG:
 every injection builds a fresh workload backend, installs a one-fault
 :class:`~repro.fault.injector.FaultInjector`, runs the workload under
 the configured :class:`~repro.fault.policy.IntegrityPolicy`, and
-classifies the outcome against a pre-computed golden result
-(``masked`` / ``corrected`` / ``detected`` / ``silent`` / ``crash`` —
-see :mod:`repro.fault.report`).
+classifies the outcome against a pre-computed golden result in the
+shared campaign taxonomy (:mod:`repro.fault.report`).
 
 Workloads:
 
@@ -42,7 +41,7 @@ from repro.fault.injector import (
     install_fault_hook,
 )
 from repro.fault.policy import IntegrityPolicy
-from repro.fault.report import FaultEvent, FaultReport
+from repro.fault.report import CampaignEvent, CampaignReport
 from repro.fhe.backend import (
     IntegrityBackend,
     NumpyBackend,
@@ -246,7 +245,12 @@ def _random_spec(site: str, kind: str, rng: np.random.Generator,
 # -- the campaign loop -------------------------------------------------------
 
 
-def _run_one(workload, index: int, spec: FaultSpec) -> FaultEvent:
+#: Outcomes a fault campaign may end in: a crash of the model (e.g. a
+#: mux-select fault breaking the routing bijection) is loud, not silent.
+ALLOWED = frozenset({"masked", "corrected", "detected", "crash"})
+
+
+def _run_one(workload, index: int, spec: FaultSpec) -> CampaignEvent:
     backend = workload.make_backend()
     injector = FaultInjector([spec])
     workload.attach(backend, injector)
@@ -260,7 +264,6 @@ def _run_one(workload, index: int, spec: FaultSpec) -> FaultEvent:
     finally:
         install_fault_hook(previous)
         workload.attach(backend, None)
-    fired = bool(injector.fired)
     latency = (injector.detection_latencies[0]
                if injector.detection_latencies else None)
     if crashed:
@@ -271,11 +274,30 @@ def _run_one(workload, index: int, spec: FaultSpec) -> FaultEvent:
             outcome = "corrected" if matches else "detected"
         else:
             outcome = "masked" if matches else "silent"
-    return FaultEvent(index, spec, outcome, fired, latency,
-                      backend.retries, backend.degrade_level)
+    detail = spec.to_dict()
+    detail.update(fired=bool(injector.fired), detection_latency=latency,
+                  retries=backend.retries,
+                  degrade_level=backend.degrade_level)
+    return CampaignEvent(index, spec.site, outcome, detail)
 
 
-def run_campaign(config: CampaignConfig) -> FaultReport:
+def _aggregates(events: list[CampaignEvent]) -> dict:
+    latencies = sorted(e.detail["detection_latency"] for e in events
+                       if e.detail["detection_latency"] is not None)
+    return {
+        "detection_latency_cycles": {
+            "count": len(latencies),
+            "mean": (round(sum(latencies) / len(latencies), 3)
+                     if latencies else None),
+            "max": latencies[-1] if latencies else None,
+        },
+        "retries": sum(e.detail["retries"] for e in events),
+        "degradations": sum(1 for e in events
+                            if e.detail["degrade_level"] > 0),
+    }
+
+
+def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run one full campaign and return its structured report."""
     workload_cls = _WORKLOADS.get(config.workload)
     if workload_cls is None:
@@ -290,22 +312,30 @@ def run_campaign(config: CampaignConfig) -> FaultReport:
     rng = np.random.default_rng(config.seed)
     workload = workload_cls(config, rng)
     probe = _probe(workload, config)
-    report = FaultReport(workload=config.workload, policy=str(config.policy),
-                         seed=config.seed, n=config.n, m=config.m,
-                         q=workload.q, sites=tuple(config.sites))
+    events = []
     for k in range(config.injections):
         # Round-robin site and kind so every class is covered even in
         # short campaigns; cycle/bit/word/lane are drawn from the RNG.
         site = config.sites[k % len(config.sites)]
         kind = KINDS[(k // len(config.sites)) % len(KINDS)]
         spec = _random_spec(site, kind, rng, config, probe)
-        report.events.append(_run_one(workload, k, spec))
-    return report
+        events.append(_run_one(workload, k, spec))
+    policy = str(config.policy)
+    fields = {"workload": config.workload, "policy": policy,
+              "seed": config.seed, "n": config.n, "m": config.m,
+              "q": workload.q, "sites": list(config.sites)}
+    fields.update(_aggregates(events))
+    return CampaignReport(
+        bench="faults",
+        label=(f"fault campaign workload={config.workload} "
+               f"policy={policy} seed={config.seed}"),
+        allowed=ALLOWED, fields=fields, events=events)
 
 
 def audit_determinism(config: CampaignConfig) -> bool:
-    """Satellite check: the same seed must produce **byte-identical**
-    report JSON across two independent campaign runs."""
-    first = run_campaign(config).to_json()
-    second = run_campaign(config).to_json()
-    return first == second
+    """The same seed must produce **byte-identical** report JSON across
+    two independent campaign runs; an empty campaign proves nothing and
+    fails."""
+    first = run_campaign(config)
+    return bool(first.events) and (first.to_json()
+                                   == run_campaign(config).to_json())

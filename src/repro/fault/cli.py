@@ -7,9 +7,11 @@ Examples::
     python -m repro.fault --campaign keyswitch --json BENCH_faults.json
     python -m repro.fault --campaign smoke --audit --injections 24
 
-Exit status is non-zero when a detecting policy let a silent corruption
-through, or when the determinism audit finds two equal-seed runs that
-differ — both are CI-failing conditions.
+Exit status follows the campaign gate (:func:`repro.fault.report.emit`):
+non-zero on a campaign with no injections or any silent corruption —
+including under ``--policy off``, which lets corruption through by
+design — and when the determinism audit finds two equal-seed runs that
+differ.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.fault.campaign import (
     smoke_config,
 )
 from repro.fault.policy import IntegrityPolicy
-from repro.fault.report import FaultReport
+from repro.fault.report import emit
 
 _CAMPAIGNS = {
     "smoke": smoke_config,
@@ -70,18 +72,6 @@ def _config_from(args: argparse.Namespace) -> CampaignConfig:
     return _CAMPAIGNS[args.campaign](**overrides)
 
 
-def _print_summary(report: FaultReport) -> None:
-    print(f"fault campaign: workload={report.workload} "
-          f"policy={report.policy} seed={report.seed} "
-          f"injections={report.injections}")
-    counts = report.outcome_counts()
-    print("outcomes: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
-    print(f"live detection rate: {report.detection_rate_live:.4f}")
-    for site, row in report.per_site().items():
-        cells = ", ".join(f"{k}={v}" for k, v in row.items())
-        print(f"  {site:10s} {cells}")
-
-
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     config = _config_from(args)
@@ -89,17 +79,6 @@ def main(argv: "list[str] | None" = None) -> int:
         ok = audit_determinism(config)
         print(f"determinism audit ({config.injections} injections, "
               f"seed {config.seed}): "
-              + ("byte-identical" if ok else "MISMATCH"))
+              + ("byte-identical" if ok else "MISMATCH or no injections"))
         return 0 if ok else 1
-    report = run_campaign(config)
-    _print_summary(report)
-    if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
-        print(f"report written to {args.json}")
-    silent = report.outcome_counts().get("silent", 0)
-    if config.policy is not IntegrityPolicy.OFF and silent:
-        print(f"FAIL: {silent} silent corruption(s) under a detecting "
-              f"policy")
-        return 1
-    return 0
+    return emit(run_campaign(config), args.json)

@@ -5,8 +5,8 @@ inverse negacyclic NTTs and evaluation-domain automorphisms — funnels
 through the active backend:
 
 * :class:`NumpyBackend` — the fast vectorized golden path.
-* :class:`repro.kernels.CompiledBackend` — fused JIT kernels (Numba or
-  a runtime-compiled C extension): the whole transform per dispatch,
+* :class:`repro.kernels.CompiledBackend` — fused kernels in a
+  runtime-compiled C extension: the whole transform per dispatch,
   bit-identical to the numpy path, falling back to it whenever a
   provider or an eligibility gate is missing.
 * :class:`VpuBackend` — routes the kernels through the behavioral VPU

@@ -8,16 +8,14 @@ with precomputed Barrett/Shoup constant tables (hoisted onto
 buffers.  Lazy-reduction eligibility is derived from the fhecheck
 interval analysis (:mod:`repro.analysis.bounds`), never hand-coded.
 
-Two interchangeable JIT providers sit behind one plan format:
-``numba`` (``@njit(parallel=True)``, import-guarded — Numba is not a
-dependency) and ``cext`` (``kernels.c`` compiled at first use with the
-host C compiler and loaded via ctypes).  With neither available,
-:class:`CompiledBackend` degrades to the inherited
+The kernels live in ``kernels.c``, compiled at first use with the
+host C compiler and loaded via ctypes (the ``cext`` provider).  With no
+compiler available, :class:`CompiledBackend` degrades to the inherited
 :class:`~repro.fhe.backend.NumpyBackend` path, bit-identically.
 
 Select globally with ``REPRO_BACKEND=compiled`` (see
 :mod:`repro.fhe.backend`) and pin the provider with
-``REPRO_JIT=numba|cext|none``.
+``REPRO_JIT=auto|cext|none``.
 """
 
 from repro.kernels.backend import CompiledBackend

@@ -12,12 +12,12 @@ numpy path (and the single-row legacy methods stay inherited).
 Bit-identity contract: every compiled kernel returns fully reduced
 residues (< q), and a reduced residue is unique — so outputs match the
 numpy and VPU paths bit for bit regardless of the internal reduction
-schedule.  Because the Numba provider can only be exercised where
-Numba is installed (CI, not this container — and vice versa for the C
-provider on toolchain-less hosts), the backend additionally
-cross-checks each (kernel, shape) pair against the numpy reference on
-first use (``self_check``, disable with ``REPRO_COMPILED_SELFCHECK=0``)
-and raises rather than silently returning wrong residues.
+schedule.  Because the kernels are compiled by whatever C compiler the
+host provides, with flags and vectorization that no test run can cover
+ahead of time, the backend additionally cross-checks each (kernel,
+shape) pair against the numpy reference on first use (``self_check``,
+disable with ``REPRO_COMPILED_SELFCHECK=0``) and raises rather than
+silently returning wrong residues.
 """
 
 from __future__ import annotations
@@ -51,10 +51,10 @@ class CompiledBackend(NumpyBackend):
     """Fused JIT kernels with analyzer-derived gates and numpy fallback.
 
     ``provider`` is a provider object, a provider name
-    (``numba``/``cext``/``none``), or None to resolve from ``REPRO_JIT``
-    (Numba first, then the runtime-compiled C extension).  With no
-    provider available every dispatch falls back to the inherited numpy
-    path — same results, seed-era speed.
+    (``cext``/``none``), or None to resolve from ``REPRO_JIT`` (the
+    runtime-compiled C extension).  With no provider available every
+    dispatch falls back to the inherited numpy path — same results,
+    seed-era speed.
     """
 
     name = "compiled"
@@ -77,7 +77,7 @@ class CompiledBackend(NumpyBackend):
 
     @property
     def provider_name(self) -> str | None:
-        """Active JIT provider (``numba``/``cext``), or None."""
+        """Active JIT provider (``cext``), or None."""
         return None if self._impl is None else self._impl.name
 
     @property

@@ -1,7 +1,7 @@
 """Per-shape plans for the compiled fused kernels.
 
 A :class:`CompiledPlan` gathers, for one ``(n, primes)`` batch shape,
-every constant the fused C/Numba kernels consume: the stacked
+every constant the fused C kernels consume: the stacked
 contiguous per-limb tables (moduli, Barrett constants, psi folds, flat
 stage twiddles, fused unfold scalings, Shoup companions) plus the
 analyzer-derived eligibility gates.  The per-modulus constants come

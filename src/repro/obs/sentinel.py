@@ -32,7 +32,8 @@ therefore classifies every metric:
   deterministic counts); full mode only, since portable regen runs at a
   different scale.
 * **zero** — invariants that must be exactly zero in the candidate
-  (silent divergences, serve errors); a missing key counts as zero.
+  (silent outcomes, serve errors); a required key that is missing
+  fails — an artifact that stopped reporting a count must not pass.
 * **bool_true** — invariant flags (bit-identity checks) that must be
   literally ``True`` in the candidate.
 
@@ -201,7 +202,7 @@ BENCH_SPECS: dict[str, tuple[MetricSpec, ...]] = {
     ),
     "faults": (
         MetricSpec("detection_rate_live", "rate", floor=0.95),
-        # No silent corruptions, ever — a missing key counts as zero.
+        # No silent corruptions, ever.
         MetricSpec("outcomes.silent", "zero"),
         # Seeded campaigns are deterministic at a fixed scale; the
         # committed deep campaign and the smoke regen differ in size,
@@ -211,8 +212,8 @@ BENCH_SPECS: dict[str, tuple[MetricSpec, ...]] = {
         MetricSpec("outcomes.corrected", "exact", portable=False),
     ),
     "recover": (
-        MetricSpec("campaign.silent_divergences", "zero"),
-        MetricSpec("campaign.counts.failed", "zero"),
+        MetricSpec("campaign.outcomes.silent", "zero"),
+        MetricSpec("campaign.outcomes.crash", "zero"),
         MetricSpec("campaign.ok", "bool_true"),
         MetricSpec("latency_sweep.*.resume_ms_best", "latency",
                    portable=False),
@@ -328,18 +329,17 @@ def _check_numeric(spec: MetricSpec, path: str, base: Any,
 
 def _check_one(spec: MetricSpec, path: str, base_present: bool, base: Any,
                cand_present: bool, cand: Any, full: bool) -> Check:
-    if spec.cls == "zero":
-        value = cand if cand_present else 0
-        ok = value == 0 and not isinstance(value, bool)
-        return Check(path, spec.cls, ok,
-                     "ok" if ok else f"must be zero, got {value!r}",
-                     candidate=value)
     if not cand_present or cand is None:
         if spec.required:
             return Check(path, spec.cls, False,
                          "missing from candidate", baseline=base)
         return Check(path, spec.cls, True, "absent (optional)",
                      skipped=True)
+    if spec.cls == "zero":
+        ok = cand == 0 and not isinstance(cand, bool)
+        return Check(path, spec.cls, ok,
+                     "ok" if ok else f"must be zero, got {cand!r}",
+                     candidate=cand)
     if spec.cls == "bool_true":
         ok = cand is True
         return Check(path, spec.cls, ok,

@@ -19,17 +19,17 @@ database one, applied to recorded ciphertext-op sequences:
 * the kill campaign (:mod:`repro.recover.campaign`,
   ``python -m repro.recover --campaign``) SIGKILLs forked workers at
   seeded op boundaries and mid-WAL-record torn writes, classifying
-  every resume and failing loudly on any silent divergence.
+  every resume in the shared campaign taxonomy
+  (:mod:`repro.fault.report`) and failing loudly on any silent
+  divergence.
 
 Lint rule ``FHC012`` (:mod:`repro.analysis.lint`) pins the fsync
 discipline statically: a bare file write in this package is a finding
 unless the surrounding function carries fsync evidence.
 """
 
-from repro.recover.campaign import (CLASSIFICATIONS, EXECUTORS, CrashRun,
-                                    KillCampaignResult, Workload,
-                                    build_workload, recovery_latency_sweep,
-                                    run_campaign)
+from repro.recover.campaign import (EXECUTORS, Workload, build_workload,
+                                    recovery_latency_sweep, run_campaign)
 from repro.recover.checkpoint import (CheckpointEntry, CheckpointError,
                                       live_set, ops_digest)
 from repro.recover.executor import (DivergenceError, DurableExecutor,
@@ -40,16 +40,13 @@ from repro.recover.journal import (JournalError, RECORD_TYPE_NAMES,
 from repro.recover.wal import Record, ScanResult, WriteAheadLog, scan
 
 __all__ = [
-    "CLASSIFICATIONS",
     "EXECUTORS",
     "RECORD_TYPE_NAMES",
     "CheckpointEntry",
     "CheckpointError",
-    "CrashRun",
     "DivergenceError",
     "DurableExecutor",
     "JournalError",
-    "KillCampaignResult",
     "Record",
     "RecoveryReport",
     "RequestJournal",

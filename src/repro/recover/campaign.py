@@ -14,17 +14,18 @@ Protocol per injection (mirroring the one-fault-per-run discipline of
    context (deterministic keygen) and calls
    :meth:`DurableExecutor.resume`, writing its outcome (outputs digest,
    typed findings, resume stats) to a result file before ``os._exit``.
-3. the parent classifies:
+3. the parent classifies in the shared campaign taxonomy
+   (:mod:`repro.fault.report`):
 
-   * ``recovered_bit_identical`` — outputs digest equals the golden's
-     and the journal tail was whole;
-   * ``detected_torn`` — outputs digest equals the golden's *and* the
-     resume surfaced the ``torn_tail`` finding (the torn write was
-     detected, truncated, and survived);
-   * ``failed`` — the resume crashed, raised, or produced different
-     outputs.  A wrong digest with a clean exit is additionally marked
-     a **silent divergence** — the one outcome the whole subsystem
-     exists to make impossible, and the one that fails CI.
+   * ``corrected`` — the crash fired and the resumed outputs digest
+     equals the golden's (a torn write shows up as the ``torn_tail``
+     finding in the event detail);
+   * ``masked`` — the crash spec never fired and the run still matches;
+   * ``crash`` — the resume raised or exited non-zero;
+   * ``silent`` — a wrong digest with a clean exit: the divergence the
+     whole subsystem exists to make impossible.
+
+   The preset allows only ``masked`` and ``corrected``.
 
 Forked children never return into the parent's interpreter: they leave
 via SIGKILL or ``os._exit``, so pytest/atexit machinery runs exactly
@@ -39,7 +40,7 @@ import random
 import signal
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -49,17 +50,16 @@ from repro.analysis.ctstate import (Op, bgv_mult_switch_sequence,
                                     ckks_mult_rotate_sequence)
 from repro.fault.crash import (SITE_OP_BOUNDARY, SITE_WAL_MID_RECORD,
                                CrashInjector, CrashSpec, install_crash_hook)
+from repro.fault.report import CampaignEvent, CampaignReport
 from repro.recover.executor import DurableExecutor, golden_outputs_digest
 
 __all__ = [
-    "CLASSIFICATIONS", "EXECUTORS", "CrashRun", "KillCampaignResult",
-    "Workload", "build_workload", "run_campaign", "recovery_latency_sweep",
+    "EXECUTORS", "Workload", "build_workload", "run_campaign",
+    "recovery_latency_sweep",
 ]
 
-CLASS_RECOVERED = "recovered_bit_identical"
-CLASS_DETECTED_TORN = "detected_torn"
-CLASS_FAILED = "failed"
-CLASSIFICATIONS = (CLASS_RECOVERED, CLASS_DETECTED_TORN, CLASS_FAILED)
+#: A resume must reproduce the golden; anything else fails the campaign.
+ALLOWED = frozenset({"masked", "corrected"})
 
 #: The two recover workload executors the campaign sweeps.
 EXECUTORS = ("ckks", "bgv")
@@ -145,73 +145,6 @@ def build_workload(name: str) -> Workload:
                      f"choose from {EXECUTORS}")
 
 
-@dataclass
-class CrashRun:
-    """One seeded crash + resume, classified."""
-
-    executor: str
-    site: str
-    at: int
-    classification: str
-    crashed: bool
-    silent_divergence: bool = False
-    findings: list[str] = field(default_factory=list)
-    resumed_from: int = -1
-    replayed_ops: int = 0
-    error: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "executor": self.executor, "site": self.site, "at": self.at,
-            "classification": self.classification, "crashed": self.crashed,
-            "silent_divergence": self.silent_divergence,
-            "findings": self.findings, "resumed_from": self.resumed_from,
-            "replayed_ops": self.replayed_ops, "error": self.error,
-        }
-
-
-@dataclass
-class KillCampaignResult:
-    """Aggregate campaign outcome; ``ok`` is the CI gate."""
-
-    runs: list[CrashRun] = field(default_factory=list)
-    goldens: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def counts(self) -> dict[str, int]:
-        out = {name: 0 for name in CLASSIFICATIONS}
-        for run in self.runs:
-            out[run.classification] += 1
-        return out
-
-    @property
-    def silent_divergences(self) -> int:
-        return sum(1 for run in self.runs if run.silent_divergence)
-
-    @property
-    def ok(self) -> bool:
-        return (bool(self.runs) and self.silent_divergences == 0
-                and self.counts[CLASS_FAILED] == 0)
-
-    def to_json(self) -> dict:
-        return {
-            "injections": len(self.runs),
-            "counts": self.counts,
-            "silent_divergences": self.silent_divergences,
-            "ok": self.ok,
-            "goldens": self.goldens,
-            "runs": [run.to_json() for run in self.runs],
-        }
-
-
-def _wait_killed(pid: int) -> "tuple[bool, int]":
-    """(died_by_sigkill, exit_status) for a forked child."""
-    _, status = os.waitpid(pid, 0)
-    if os.WIFSIGNALED(status):
-        return os.WTERMSIG(status) == signal.SIGKILL, -os.WTERMSIG(status)
-    return False, os.WIFEXITED(status) and os.WEXITSTATUS(status) or 0
-
-
 def _fork_crash_worker(workload: Workload, directory: Path,
                        spec: CrashSpec, *,
                        checkpoint_interval: int) -> bool:
@@ -232,15 +165,16 @@ def _fork_crash_worker(workload: Workload, directory: Path,
             os._exit(0)  # spec never fired; run committed
         except BaseException:
             os._exit(3)
-    killed, _ = _wait_killed(pid)
-    return killed
+    _, status = os.waitpid(pid, 0)
+    return os.WIFSIGNALED(status) and os.WTERMSIG(status) == signal.SIGKILL
 
 
-def _fork_resume_worker(workload: Workload, directory: Path,
-                        result_path: Path, *,
-                        checkpoint_interval: int) -> int:
+def _fork_resume_worker(workload: Workload, directory: Path, *,
+                        checkpoint_interval: int
+                        ) -> "tuple[int, dict | None]":
     """Fork a clean worker that resumes and reports; returns its exit
-    status (0 = resume completed and wrote its report)."""
+    status (0 = resume completed) and its report, if it wrote one."""
+    result_path = directory / "resume-result.json"
     pid = os.fork()
     if pid == 0:
         try:
@@ -264,42 +198,44 @@ def _fork_resume_worker(workload: Workload, directory: Path,
                 pass
             os._exit(1)
     _, status = os.waitpid(pid, 0)
-    return status
+    try:
+        return status, json.loads(result_path.read_text())
+    except (OSError, json.JSONDecodeError):
+        return status, None
 
 
-def _classify(run: CrashRun, payload: "dict | None", status: int,
-              golden: str) -> None:
+def _classify(fired: bool, payload: "dict | None", status: int,
+              golden: str) -> "tuple[str, dict]":
+    """(outcome, detail) for one resume."""
     if status != 0 or payload is None:
-        run.classification = CLASS_FAILED
-        run.error = (payload or {}).get("error", f"resume exit {status}")
-        return
-    run.findings = payload.get("findings", [])
-    run.resumed_from = payload.get("resumed_from", -1)
-    run.replayed_ops = payload.get("replayed_ops", 0)
+        return "crash", {"error": (payload or {}).get(
+            "error", f"resume exit {status}")}
+    detail = {"findings": payload.get("findings", []),
+              "resumed_from": payload.get("resumed_from", -1),
+              "replayed_ops": payload.get("replayed_ops", 0)}
     if payload.get("digest") == golden and payload.get("committed"):
-        run.classification = (CLASS_DETECTED_TORN
-                              if "torn_tail" in run.findings
-                              else CLASS_RECOVERED)
-        return
-    run.classification = CLASS_FAILED
+        return ("corrected" if fired else "masked"), detail
     # Wrong outputs with a clean exit: the divergence nobody caught.
-    run.silent_divergence = True
-    run.error = (f"outputs digest {payload.get('digest', '')[:12]}… != "
-                 f"golden {golden[:12]}… with no error raised")
+    detail["error"] = (f"outputs digest {payload.get('digest', '')[:12]}… "
+                       f"!= golden {golden[:12]}… with no error raised")
+    return "silent", detail
 
 
 def run_campaign(*, executors: Sequence[str] = EXECUTORS,
                  injections: int = 100, seed: int = 0,
-                 checkpoint_interval: int = 4,
-                 progress: "Callable[[str], None] | None" = None,
-                 ) -> KillCampaignResult:
+                 checkpoint_interval: int = 4) -> CampaignReport:
     """SIGKILL the durable executor ``injections`` times; classify every
     resume.  Deterministic in ``seed``."""
     rng = random.Random(seed)
-    result = KillCampaignResult()
     workloads = {name: build_workload(name) for name in executors}
     goldens = {name: wl.golden() for name, wl in workloads.items()}
-    result.goldens = dict(goldens)
+    report = CampaignReport(
+        bench="kill_campaign",
+        label=f"kill campaign executors={','.join(executors)} seed={seed}",
+        allowed=ALLOWED,
+        fields={"executors": list(executors), "seed": seed,
+                "checkpoint_interval": checkpoint_interval,
+                "goldens": goldens})
     for index in range(injections):
         name = list(workloads)[index % len(workloads)]
         workload = workloads[name]
@@ -316,38 +252,25 @@ def run_campaign(*, executors: Sequence[str] = EXECUTORS,
         else:
             spec = CrashSpec(SITE_WAL_MID_RECORD, rng.randrange(n_appends),
                              tear_fraction=rng.choice((0.25, 0.5, 0.9)))
-        run = CrashRun(name, spec.site, spec.at, CLASS_FAILED,
-                       crashed=False)
         with tempfile.TemporaryDirectory(prefix="recover-kill-") as tmp:
             directory = Path(tmp)
-            run.crashed = _fork_crash_worker(
+            fired = _fork_crash_worker(
                 workload, directory, spec,
                 checkpoint_interval=checkpoint_interval)
-            result_path = directory / "resume-result.json"
-            status = _fork_resume_worker(
-                workload, directory, result_path,
+            status, payload = _fork_resume_worker(
+                workload, directory,
                 checkpoint_interval=checkpoint_interval)
-            payload = None
-            if result_path.exists():
-                try:
-                    payload = json.loads(result_path.read_text())
-                except json.JSONDecodeError:
-                    payload = None
-            _classify(run, payload, status, goldens[name])
-        result.runs.append(run)
-        if progress is not None and (index + 1) % 10 == 0:
-            counts = result.counts
-            progress(f"  [{index + 1}/{injections}] "
-                     f"recovered={counts[CLASS_RECOVERED]} "
-                     f"torn={counts[CLASS_DETECTED_TORN]} "
-                     f"failed={counts[CLASS_FAILED]}")
-    return result
+            outcome, detail = _classify(fired, payload, status,
+                                        goldens[name])
+        detail.update(executor=name, at=spec.at, crashed=fired)
+        report.events.append(CampaignEvent(index, spec.site, outcome,
+                                           detail))
+    return report
 
 
 def recovery_latency_sweep(*, executor: str = "ckks",
                            intervals: Sequence[int] = (0, 1, 2, 4, 8),
-                           repeats: int = 3, seed: int = 0,
-                           ) -> list[dict]:
+                           repeats: int = 3) -> list[dict]:
     """Measure resume latency vs. checkpoint interval.
 
     For each interval, crash a forked worker at the last op boundary

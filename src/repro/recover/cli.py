@@ -3,9 +3,10 @@
 Modes:
 
 * ``--campaign`` — fork/SIGKILL the durable executor at seeded crash
-  points, resume every journal, and classify each run
-  (recovered-bit-identical / detected-torn / failed).  Exit status is
-  non-zero on any failed run or silent divergence — the CI gate.
+  points, resume every journal, and classify each run in the shared
+  campaign taxonomy.  Exit status follows the campaign gate
+  (:func:`repro.fault.report.emit`): non-zero on an empty campaign or
+  any run that is not ``masked`` or ``corrected``.
 * ``--bench`` — the committed-artifact mode: a full two-executor
   campaign plus the resume-latency-vs-checkpoint-interval sweep,
   written as a ``schema: 1`` envelope (``BENCH_recover.json``).
@@ -18,9 +19,10 @@ import json
 import sys
 from pathlib import Path
 
+from repro.fault.report import emit
 from repro.obs.export import host_envelope
-from repro.recover.campaign import (CLASSIFICATIONS, EXECUTORS,
-                                    recovery_latency_sweep, run_campaign)
+from repro.recover.campaign import (EXECUTORS, recovery_latency_sweep,
+                                    run_campaign)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--interval", type=int, default=4,
                         help="checkpoint interval in ops (default 4)")
     parser.add_argument("--json", type=Path, default=None,
-                        help="write the campaign result JSON here")
+                        help="write the campaign report JSON here")
     parser.add_argument("--out", type=Path,
                         default=Path("BENCH_recover.json"),
                         help="bench artifact path "
@@ -51,58 +53,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _executors(choice: str) -> tuple[str, ...]:
-    return EXECUTORS if choice == "both" else (choice,)
-
-
-def _print_summary(result) -> None:
-    counts = result.counts
-    print(f"kill campaign: {len(result.runs)} injections")
-    for name in CLASSIFICATIONS:
-        print(f"  {name:24s} {counts[name]}")
-    print(f"  {'silent divergences':24s} {result.silent_divergences}")
-    for run in result.runs:
-        if run.classification == "failed":
-            print(f"  FAILED {run.executor}/{run.site}@{run.at}: "
-                  f"{run.error}")
-    print("PASS" if result.ok else "FAIL")
-
-
 def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.campaign:
-        result = run_campaign(
-            executors=_executors(args.executor),
-            injections=args.injections, seed=args.seed,
-            checkpoint_interval=args.interval, progress=print)
-        _print_summary(result)
-        if args.json is not None:
-            args.json.write_text(json.dumps(result.to_json(), indent=2)
-                                 + "\n")
-            print(f"wrote {args.json}")
-        return 0 if result.ok else 1
-
-    # --bench: the committed artifact.
-    result = run_campaign(
-        executors=_executors(args.executor),
+    report = run_campaign(
+        executors=EXECUTORS if args.executor == "both" else (args.executor,),
         injections=args.injections, seed=args.seed,
-        checkpoint_interval=args.interval, progress=print)
-    _print_summary(result)
-    print("latency sweep (resume time vs checkpoint interval):")
-    sweep = recovery_latency_sweep(seed=args.seed)
+        checkpoint_interval=args.interval)
+    status = emit(report, args.json)
+    if args.campaign:
+        return status
+
+    # --bench: the committed artifact.  The sweep times one executor;
+    # ``both`` sweeps ckks.
+    sweep_executor = "ckks" if args.executor == "both" else args.executor
+    print(f"latency sweep ({sweep_executor}, resume time vs checkpoint "
+          f"interval):")
+    sweep = recovery_latency_sweep(executor=sweep_executor)
     for row in sweep:
         print(f"  interval={row['checkpoint_interval']:2d}  "
               f"skipped={row['skipped_ops']:2d}  "
               f"replayed={row['replayed_ops']:2d}  "
               f"resume={row['resume_ms_best']:.1f} ms")
+    campaign = report.to_dict()
+    campaign.pop("events")  # per-run detail stays in --json mode
+    campaign["ok"] = report.ok
     artifact = host_envelope("recover")
-    campaign_json = result.to_json()
-    campaign_json.pop("runs")  # per-run detail stays in --json mode
-    artifact["campaign"] = campaign_json
+    artifact["campaign"] = campaign
     artifact["latency_sweep"] = sweep
     args.out.write_text(json.dumps(artifact, indent=2) + "\n")
     print(f"wrote {args.out}")
-    return 0 if result.ok else 1
+    return status
 
 
 if __name__ == "__main__":

@@ -24,17 +24,28 @@ driver (:func:`run_chaos_campaign`) fires a bursty trace through a real
 engine and asserts the robustness contract: **zero hung requests, zero
 silent corruptions, every affected request resolved with a typed
 status**, and a bounded p99 (nothing outlives deadline + watchdog
-grace).  Outcome classification reuses the fault layer's vocabulary
-(masked / corrected / detected / silent) extended with the serve-only
-resolutions (degraded / timeout / rejected / error).
+grace).  Each affected request is one event in the shared campaign
+taxonomy (:mod:`repro.fault.report`): ``ok`` with no retry is
+``masked``; ``ok`` after a retry, or ``degraded``, is ``corrected``; a
+typed ``timeout``, ``rejected`` or ``error`` is ``detected``; an
+unresolved request is ``hung``; a value that fails re-verification is
+``silent``.  The preset allows ``masked``, ``corrected`` and
+``detected``.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.fault.report import CampaignEvent, CampaignReport
 from repro.obs import check_span_tree, current_obs_hook, per_trace_cycles
+from repro.serve.requests import (
+    RESOLVED_STATUSES,
+    STATUS_ERROR,
+    STATUS_OK,
+    STATUS_TIMEOUT,
+)
 
 __all__ = [
     "ChaosInjector",
@@ -53,6 +64,9 @@ SITE_DROP = "serve_drop"
 SITE_STRAGGLER = "serve_straggler"
 SITE_INTEGRITY = "serve_integrity"
 SERVE_SITES = (SITE_DELAY, SITE_DROP, SITE_STRAGGLER, SITE_INTEGRITY)
+
+#: Every affected request must resolve typed; nothing hangs or lies.
+CHAOS_ALLOWED = frozenset({"masked", "corrected", "detected"})
 
 
 @dataclass(frozen=True)
@@ -154,62 +168,31 @@ class ChaosInjector:
         return plan
 
 
-@dataclass
-class CampaignOutcome:
-    """Aggregate verdict of one chaos campaign run."""
-
-    submitted: int = 0
-    resolved: int = 0
-    injections: int = 0
-    affected: int = 0
-    hung: int = 0
-    silent: int = 0
-    untyped: int = 0
-    p99_latency: float = 0.0
-    outcomes: dict[str, int] = field(default_factory=dict)
-    by_site: dict[str, int] = field(default_factory=dict)
-    violations: list[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
-def _classify(result, affected: bool) -> str:
-    """Fault-vocabulary outcome for one resolved request."""
-    from repro.serve.requests import (
-        STATUS_DEGRADED,
-        STATUS_OK,
-        STATUS_REJECTED,
-        STATUS_TIMEOUT,
-    )
-
-    if result.status == STATUS_OK:
-        if not affected:
-            return "clean"
-        return "corrected" if result.retries else "masked"
-    if result.status == STATUS_DEGRADED:
-        return "degraded"
-    if result.status == STATUS_TIMEOUT:
-        return "timeout"
-    if result.status == STATUS_REJECTED:
-        return "rejected"
-    return "errored"
+def _classify(result, verified: bool) -> str:
+    """Campaign outcome for one resolved request."""
+    if result.status not in RESOLVED_STATUSES:
+        return "crash"
+    if not result.succeeded:
+        return "detected"  # typed timeout / rejected / error
+    if not verified:
+        return "silent"
+    if result.status == STATUS_OK and not result.retries:
+        return "masked"
+    return "corrected"  # ok after a retry, or degraded
 
 
 def run_chaos_campaign(requests: int = 900, seed: int = 0,
                        executor: str = "sim", min_injections: int = 200,
-                       intensity: float = 1.0) -> CampaignOutcome:
+                       intensity: float = 1.0) -> CampaignReport:
     """Fire a bursty trace through a chaos-wrapped engine and check the
     robustness contract.
 
-    Violations collected (an empty list is a pass):
+    One event per affected request, plus any unaffected request whose
+    outcome the preset does not allow (hung, silent, or a status outside
+    the typed set).  Run-level findings (failing the campaign alongside
+    the shared gate):
 
-    * any submitted request left unresolved (hung);
-    * any ``ok``/``degraded`` result whose value fails an independent
-      re-verification (silent corruption);
-    * any resolution outside the typed status set, or a failure status
-      with no typed ``error``;
+    * a failure status with no typed ``error``;
     * p99 latency beyond ``deadline + watchdog grace`` (unbounded tail);
     * fewer realized injections than ``min_injections``;
     * with an observer installed: any span-tree malformation (orphan
@@ -222,12 +205,7 @@ def run_chaos_campaign(requests: int = 900, seed: int = 0,
     from repro.serve.bench import run_trace
     from repro.serve.engine import ServeConfig, ServeEngine
     from repro.serve.executor import CkksOpExecutor, SimulatedExecutor
-    from repro.serve.requests import (
-        RESOLVED_STATUSES,
-        STATUS_ERROR,
-        STATUS_TIMEOUT,
-    )
-    from repro.serve.trace import TraceConfig, generate_trace
+    from repro.serve.trace import TraceConfig, generate_trace, materialize
 
     if executor == "sim":
         exec_impl: object = SimulatedExecutor(seed=seed)
@@ -248,54 +226,49 @@ def run_chaos_campaign(requests: int = 900, seed: int = 0,
     engine = ServeEngine(exec_impl, config, chaos=injector)
     results = asyncio.run(run_trace(engine, items, paced=True))
 
-    outcome = CampaignOutcome(
-        submitted=len(items), resolved=len(results),
-        injections=injector.injections,
-        affected=len(injector.affected_ids),
-        by_site=dict(injector.by_site))
-    if outcome.resolved != outcome.submitted:
-        outcome.hung = outcome.submitted - outcome.resolved
-        outcome.violations.append(
-            f"{outcome.hung} requests never resolved (hung)")
+    by_id = {result.request_id: result for result in results}
     latencies = sorted(r.latency for r in results)
-    if latencies:
-        outcome.p99_latency = latencies[
-            min(len(latencies) - 1, int(0.99 * len(latencies)))]
+    p99 = (latencies[min(len(latencies) - 1, int(0.99 * len(latencies)))]
+           if latencies else 0.0)
+    report = CampaignReport(
+        bench="chaos",
+        label=f"chaos campaign executor={executor} seed={seed}",
+        allowed=CHAOS_ALLOWED,
+        fields={"executor": executor, "seed": seed,
+                "submitted": len(items), "resolved": len(results),
+                "injected_faults": injector.injections,
+                "by_site": dict(injector.by_site),
+                "p99_latency_s": round(p99, 6)})
+    for item in items:
+        result = by_id.get(item.request_id)
+        detail: dict = {"request_id": item.request_id}
+        if result is None:
+            outcome = "hung"
+        else:
+            if (result.status in (STATUS_TIMEOUT, STATUS_ERROR)
+                    and not result.error):
+                report.findings.append(
+                    f"request {result.request_id} failed without a typed "
+                    f"error")
+            verified = not result.succeeded or exec_impl.verify(  # type: ignore[attr-defined]
+                materialize(item), result.value)
+            outcome = _classify(result, verified)
+            detail.update(status=result.status, retries=result.retries)
+        # The plan is cached for affected requests: no new injection.
+        sites = (injector.plan_for(item.request_id).sites
+                 if item.request_id in injector.affected_ids else ())
+        if sites or outcome not in CHAOS_ALLOWED:
+            report.events.append(CampaignEvent(
+                len(report.events), "+".join(sorted(set(sites))) or "none",
+                outcome, detail))
     bound = max(trace_config.timeouts) + config.watchdog_grace + 0.1
-    if outcome.p99_latency > bound:
-        outcome.violations.append(
-            f"p99 latency {outcome.p99_latency:.3f}s exceeds the "
-            f"deadline+grace bound {bound:.3f}s")
-    by_item = {item.request_id: item for item in items}
-    for result in results:
-        affected = result.request_id in injector.affected_ids
-        kind = _classify(result, affected)
-        outcome.outcomes[kind] = outcome.outcomes.get(kind, 0) + 1
-        if result.status not in RESOLVED_STATUSES:
-            outcome.untyped += 1
-            outcome.violations.append(
-                f"request {result.request_id} resolved with unknown "
-                f"status {result.status!r}")
-            continue
-        if (result.status in (STATUS_TIMEOUT, STATUS_ERROR)
-                and not result.error):
-            outcome.untyped += 1
-            outcome.violations.append(
-                f"request {result.request_id} failed without a typed "
-                f"error")
-        if result.succeeded:
-            request = by_item[result.request_id]
-            from repro.serve.trace import materialize
-
-            probe = materialize(request)
-            if not exec_impl.verify(probe, result.value):  # type: ignore[attr-defined]
-                outcome.silent += 1
-                outcome.violations.append(
-                    f"request {result.request_id} returned a corrupted "
-                    f"value with status {result.status!r} (silent)")
-    if outcome.injections < min_injections:
-        outcome.violations.append(
-            f"only {outcome.injections} injections realized; campaign "
+    if p99 > bound:
+        report.findings.append(
+            f"p99 latency {p99:.3f}s exceeds the deadline+grace bound "
+            f"{bound:.3f}s")
+    if injector.injections < min_injections:
+        report.findings.append(
+            f"only {injector.injections} injections realized; campaign "
             f"requires >= {min_injections}")
     obs = current_obs_hook()
     if obs is not None:
@@ -306,18 +279,18 @@ def run_chaos_campaign(requests: int = 900, seed: int = 0,
         # (retries, degrades, and watchdog races included).
         dangling = obs.tracer.unwind()
         if dangling:
-            outcome.violations.append(
+            report.findings.append(
                 f"{dangling} spans left open after the campaign quiesced")
         for problem in check_span_tree(obs.tracer):
-            outcome.violations.append(f"span-tree: {problem}")
+            report.findings.append(f"span-tree: {problem}")
         traced = sum(cycles for trace_id, cycles
                      in per_trace_cycles(obs.tracer).items() if trace_id)
         counted = int(obs.metrics.counters.get("serve.model_cycles", 0))
         if traced != counted:
-            outcome.violations.append(
+            report.findings.append(
                 f"per-trace cycle sum {traced} != serve.model_cycles "
                 f"counter {counted} (attribution leak)")
-        obs.gauge("serve.chaos.p99_latency", round(outcome.p99_latency, 6))
+        obs.gauge("serve.chaos.p99_latency", round(p99, 6))
         obs.count("serve.chaos.campaign_violations",
-                  len(outcome.violations))
-    return outcome
+                  len(report.violations()))
+    return report

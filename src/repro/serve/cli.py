@@ -1,4 +1,4 @@
-"""``python -m repro.serve`` — benchmark, chaos campaign, validation.
+"""``python -m repro.serve`` — benchmark and chaos campaign.
 
 Modes (mutually exclusive):
 
@@ -6,9 +6,11 @@ Modes (mutually exclusive):
   benchmark and write ``BENCH_serve.json`` (schema-1 envelope).
 * ``--chaos``: run the chaos campaign and exit nonzero on any
   robustness violation (hung request, silent corruption, untyped
-  failure, unbounded p99, or too few injections).
-* ``--validate-envelope PATH``: shape-check an existing artifact with
-  :func:`repro.obs.export.validate_envelope` (the CI gate).
+  failure, unbounded p99, or too few injections) — the shared campaign
+  gate of :func:`repro.fault.report.emit`.
+
+Artifacts are shape-checked with ``python -m repro.obs
+--validate-envelope PATH``.
 
 ``REPRO_TRACE=1`` enables the obs hook for any mode, in which case a
 metrics snapshot accompanies the run on stderr-free stdout.
@@ -35,11 +37,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--chaos", action="store_true",
                       help="run the chaos campaign; nonzero exit on any "
                            "robustness violation")
-    mode.add_argument("--validate-envelope", metavar="PATH",
-                      help="validate an artifact's schema-1 envelope")
     parser.add_argument("--requests", type=int, default=None,
                         help="request count (default: 100000 bench, "
-                             "600 chaos)")
+                             "900 chaos)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workers", type=int, default=24)
     parser.add_argument("--rate", type=float, default=3000.0,
@@ -55,8 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--intensity", type=float, default=1.0,
                         help="chaos rate multiplier in (0, 1]")
     parser.add_argument("--out", type=Path, default=None,
-                        help="write the JSON artifact here "
-                             "(default BENCH_serve.json for --bench)")
+                        help="write the JSON artifact (--bench, default "
+                             "BENCH_serve.json) or campaign report "
+                             "(--chaos) here")
     return parser
 
 
@@ -72,44 +73,17 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     enable_from_env()
 
-    if args.validate_envelope:
-        payload = json.loads(Path(args.validate_envelope).read_text())
-        problems = validate_envelope(payload)
-        if problems:
-            for problem in problems:
-                print(f"ENVELOPE: {problem}", file=sys.stderr)
-            return 1
-        print(f"{args.validate_envelope}: envelope ok "
-              f"(bench={payload.get('bench')!r})")
-        return 0
-
     if args.chaos:
+        from repro.fault.report import emit
         from repro.serve.chaos import run_chaos_campaign
 
-        outcome = run_chaos_campaign(
+        report = run_chaos_campaign(
             requests=args.requests if args.requests is not None else 900,
             seed=args.seed, executor=args.executor,
             min_injections=args.min_injections, intensity=args.intensity)
-        report = {
-            "submitted": outcome.submitted,
-            "resolved": outcome.resolved,
-            "injections": outcome.injections,
-            "affected": outcome.affected,
-            "hung": outcome.hung,
-            "silent": outcome.silent,
-            "untyped": outcome.untyped,
-            "p99_latency_s": round(outcome.p99_latency, 6),
-            "outcomes": outcome.outcomes,
-            "by_site": outcome.by_site,
-            "violations": outcome.violations,
-            "passed": outcome.passed,
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        if args.out is not None:
-            args.out.write_text(json.dumps(report, indent=2, sort_keys=True)
-                                + "\n")
+        status = emit(report, args.out)
         _emit_metrics()
-        return 0 if outcome.passed else 1
+        return status
 
     # Default: the benchmark.
     from repro.serve.bench import run_bench

@@ -14,6 +14,7 @@ from repro.fault.campaign import (
 from repro.fault.cli import main
 from repro.fault.injector import CORE_SITES, KINDS, current_fault_hook
 from repro.fault.policy import IntegrityPolicy
+from repro.fault.report import OUTCOMES, CampaignEvent, CampaignReport
 
 
 class TestSmokeCampaign:
@@ -26,14 +27,14 @@ class TestSmokeCampaign:
 
     def test_all_core_sites_and_kinds_covered(self, report):
         assert set(report.per_site()) == set(CORE_SITES)
-        assert {e.spec.kind for e in report.events} == set(KINDS)
+        assert {e.detail["kind"] for e in report.events} == set(KINDS)
 
     def test_live_detection_rate(self, report):
         assert report.detection_rate_live >= 0.99
 
     def test_detection_latency_recorded(self, report):
-        latencies = [e.detection_latency for e in report.events
-                     if e.detection_latency is not None]
+        latencies = [e.detail["detection_latency"] for e in report.events
+                     if e.detail["detection_latency"] is not None]
         assert latencies and all(lat >= 0 for lat in latencies)
 
     def test_hook_is_uninstalled_after_campaign(self, report):
@@ -44,12 +45,42 @@ class TestSmokeCampaign:
         assert data["injections"] == 48
         assert data["policy"] == "detect-retry"
         assert len(data["events"]) == 48
+        assert set(data["outcomes"]) == set(OUTCOMES)  # zero-filled
 
     def test_report_carries_shared_artifact_envelope(self, report):
         data = json.loads(report.to_json())
         assert data["schema"] == 1
         assert data["bench"] == "faults"
         assert set(data["host"]) == {"machine", "python", "numpy"}
+
+
+class TestCampaignGate:
+    """The one pass rule every campaign preset shares."""
+
+    @staticmethod
+    def _report(*outcomes, allowed=("masked", "corrected")):
+        return CampaignReport(
+            bench="t", label="t", allowed=frozenset(allowed),
+            events=[CampaignEvent(i, "s", o) for i, o in enumerate(outcomes)])
+
+    def test_allowed_outcomes_pass(self):
+        report = self._report("masked", "corrected")
+        assert report.ok
+        assert report.outcome_counts() == {**dict.fromkeys(OUTCOMES, 0),
+                                           "masked": 1, "corrected": 1}
+
+    def test_outcome_outside_preset_fails(self):
+        assert not self._report("masked", "crash").ok
+
+    def test_hung_and_silent_fail_even_if_allowed(self):
+        for outcome in ("hung", "silent"):
+            assert not self._report(outcome, allowed=OUTCOMES).ok
+
+    def test_empty_campaign_and_findings_fail(self):
+        assert self._report().violations() == ["campaign ran no events"]
+        report = self._report("masked")
+        report.findings.append("p99 over bound")
+        assert report.violations() == ["p99 over bound"]
 
 
 class TestDeterminism:
@@ -66,14 +97,16 @@ class TestPolicies:
     def test_off_policy_never_detects(self):
         report = run_campaign(smoke_config(
             injections=16, policy=IntegrityPolicy.OFF))
-        assert set(report.outcome_counts()) <= {"masked", "silent", "crash"}
-        assert all(e.detection_latency is None for e in report.events)
+        seen = {k for k, v in report.outcome_counts().items() if v}
+        assert seen <= {"masked", "silent", "crash"}
+        assert all(e.detail["detection_latency"] is None
+                   for e in report.events)
 
     def test_detect_policy_counts_without_correcting(self):
         report = run_campaign(smoke_config(
             injections=16, policy=IntegrityPolicy.DETECT))
         assert report.outcome_counts().get("silent", 0) == 0
-        assert sum(e.retries for e in report.events) == 0
+        assert sum(e.detail["retries"] for e in report.events) == 0
 
 
 class TestKeyswitchCampaign:
@@ -116,6 +149,19 @@ class TestCli:
         assert "byte-identical" in capsys.readouterr().out
 
     def test_policy_override(self, capsys):
-        assert main(["--campaign", "smoke", "--injections", "8",
-                     "--policy", "off"]) == 0
+        main(["--campaign", "smoke", "--injections", "8",
+              "--policy", "off"])
         assert "policy=off" in capsys.readouterr().out
+
+    def test_silent_outcome_fails_the_gate(self, capsys):
+        """With integrity checks off, seeded faults reach the output
+        unseen; the shared gate must turn that into exit 1."""
+        assert main(["--campaign", "smoke", "--injections", "8",
+                     "--policy", "off"]) == 1
+        out = capsys.readouterr().out
+        assert "silent" in out and "FAIL" in out
+
+    def test_empty_campaign_fails(self, capsys):
+        assert main(["--injections", "0"]) == 1
+        assert "no events" in capsys.readouterr().out
+        assert main(["--injections", "0", "--audit"]) == 1

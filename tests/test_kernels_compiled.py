@@ -54,7 +54,7 @@ def boundary_primes():
 def compiled():
     backend = CompiledBackend()
     if backend.provider_name is None:
-        pytest.skip("no JIT provider available (numba or a C compiler)")
+        pytest.skip("no JIT provider available (no C compiler)")
     return backend
 
 
@@ -192,6 +192,8 @@ class TestProviderlessFallback:
             CompiledBackend(provider="bogus")
         with pytest.raises(ValueError, match="REPRO_JIT"):
             resolve_provider("bogus")
+        with pytest.raises(ValueError, match="REPRO_JIT"):
+            resolve_provider("numba")
 
 
 class TestSelection:

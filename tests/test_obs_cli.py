@@ -1,6 +1,9 @@
 """``python -m repro.obs``: the workload profiler CLI."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,27 @@ class TestMain:
         bad = tmp_path / "bad.json"
         bad.write_text('{"notTraceEvents": []}')
         assert main(["--validate-trace", str(bad)]) == 1
+
+    def test_validate_envelope_cli_roundtrip(self, tmp_path):
+        from repro.serve.bench import run_bench
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+
+        def validate(path: Path) -> int:
+            return subprocess.run(
+                [sys.executable, "-m", "repro.obs", "--validate-envelope",
+                 str(path)],
+                capture_output=True, text=True,
+                env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"}).returncode
+
+        artifact = run_bench(requests=200, seed=3, workers=4, rate=2000.0,
+                             time_scale=0.25)
+        path = tmp_path / "BENCH_serve.json"
+        path.write_text(json.dumps(artifact))
+        assert validate(path) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": 0, "bench": ""}))
+        assert validate(bad) == 1
 
     def test_parser_defaults(self):
         args = build_parser().parse_args([])

@@ -168,7 +168,9 @@ class TestPortableKernelSpecs:
 
 
 class TestZeroAndExact:
-    def test_missing_key_counts_as_zero(self):
+    def test_missing_required_zero_key_fails(self):
+        """An artifact that stopped reporting a zero-invariant count must
+        not pass as if it had reported zero."""
         env = host_envelope("faults")
         env["detection_rate_live"] = 1.0
         env["outcomes"] = {"detected": 10}
@@ -176,7 +178,8 @@ class TestZeroAndExact:
         checks = compare_envelopes(env, [copy.deepcopy(env)],
                                    portable_only=True)
         zero = [c for c in checks if c.path == "outcomes.silent"]
-        assert zero and zero[0].ok
+        assert zero and not zero[0].ok
+        assert "missing" in zero[0].detail
 
     def test_nonzero_silent_fails(self):
         env = host_envelope("faults")
@@ -203,7 +206,7 @@ class TestZeroAndExact:
     def test_exact_counts_full_mode_only(self):
         env = host_envelope("faults")
         env["detection_rate_live"] = 1.0
-        env["outcomes"] = {"detected": 53, "corrected": 60}
+        env["outcomes"] = {"detected": 53, "corrected": 60, "silent": 0}
         env["injections"] = 200
         smoke = copy.deepcopy(env)
         smoke["injections"] = 24  # different campaign scale
@@ -229,6 +232,18 @@ class TestSpecTables:
                                        portable_only=True)
             bad = [c for c in checks if not c.ok]
             assert not bad, f"{name}: {[(c.path, c.detail) for c in bad]}"
+
+    def test_every_required_spec_resolves_in_its_committed_artifact(
+            self, repo_root):
+        """Every required spec, portable or not, names a key that the
+        committed artifact actually carries — a spec cannot pass on a
+        missing key."""
+        for name in ARTIFACTS:
+            baseline = json.loads((repo_root / name).read_text())
+            bad = [(c.path, c.detail)
+                   for c in compare_envelopes(baseline, [baseline])
+                   if not c.ok]
+            assert not bad, f"{name}: {bad}"
 
     def test_latency_tolerance_is_tighter_than_the_gate(self):
         """The seeded-regression acceptance (20%) must exceed the

@@ -1,6 +1,7 @@
 """Kill-campaign tests: forked workers really die by SIGKILL, every
-resume classifies, torn writes are detected, and the campaign is
-deterministic in its seed.
+resume classifies in the shared campaign taxonomy, torn writes are
+detected, a seeded silent divergence fails the gate, and the campaign
+is deterministic in its seed.
 
 Forked children exit via SIGKILL or ``os._exit`` only, so pytest's
 machinery never runs twice.
@@ -13,8 +14,9 @@ import pytest
 from repro.fault.crash import (SITE_OP_BOUNDARY, SITE_WAL_MID_RECORD,
                                CrashInjector, CrashSpec, crash_point,
                                install_crash_hook, pending_tear)
-from repro.recover.campaign import (CLASS_DETECTED_TORN, CLASS_RECOVERED,
-                                    build_workload, run_campaign)
+from repro.fault.report import OUTCOMES
+from repro.recover import campaign as campaign_mod
+from repro.recover.campaign import build_workload, run_campaign
 from repro.recover.cli import main
 
 
@@ -57,36 +59,46 @@ class TestWorkloads:
 
 class TestKillCampaign:
     def test_small_campaign_all_classified(self):
-        result = run_campaign(executors=("ckks",), injections=6, seed=5)
-        assert len(result.runs) == 6
-        assert result.ok
-        assert result.silent_divergences == 0
-        counts = result.counts
-        assert counts[CLASS_RECOVERED] > 0
-        assert counts[CLASS_DETECTED_TORN] > 0  # torn writes detected
-        assert all(run.crashed for run in result.runs)
+        report = run_campaign(executors=("ckks",), injections=6, seed=5)
+        assert report.injections == 6
+        assert report.ok
+        assert report.outcome_counts()["corrected"] == 6
+        assert all(e.detail["crashed"] for e in report.events)
+        # Torn writes are detected and survived.
+        assert any("torn_tail" in e.detail["findings"]
+                   for e in report.events)
+        assert set(report.per_site()) == {SITE_OP_BOUNDARY,
+                                          SITE_WAL_MID_RECORD}
 
     def test_torn_runs_carry_the_finding(self):
-        result = run_campaign(executors=("ckks",), injections=4, seed=11)
-        for run in result.runs:
-            if run.site == SITE_WAL_MID_RECORD:
-                assert run.classification == CLASS_DETECTED_TORN
-                assert "torn_tail" in run.findings
+        report = run_campaign(executors=("ckks",), injections=4, seed=11)
+        for event in report.events:
+            if event.site == SITE_WAL_MID_RECORD:
+                assert event.outcome == "corrected"
+                assert "torn_tail" in event.detail["findings"]
 
     def test_deterministic_in_seed(self):
         a = run_campaign(executors=("ckks",), injections=4, seed=9)
         b = run_campaign(executors=("ckks",), injections=4, seed=9)
-        assert [r.to_json() for r in a.runs] == [
-            r.to_json() for r in b.runs]
+        assert a.to_json() == b.to_json()
 
     def test_json_shape(self):
-        result = run_campaign(executors=("ckks",), injections=2, seed=1)
-        payload = result.to_json()
+        report = run_campaign(executors=("ckks",), injections=2, seed=1)
+        payload = json.loads(report.to_json())
         assert payload["injections"] == 2
-        assert set(payload["counts"]) == {
-            "recovered_bit_identical", "detected_torn", "failed"}
-        assert payload["silent_divergences"] == 0
-        assert payload["ok"] is True
+        assert set(payload["outcomes"]) == set(OUTCOMES)
+        assert payload["outcomes"]["silent"] == 0
+        assert len(payload["events"]) == 2
+
+    def test_seeded_silent_divergence_fails_the_gate(self, monkeypatch):
+        """A resume that exits cleanly with the wrong outputs is silent;
+        the shared gate must fail the campaign."""
+        wrong = "0" * 64
+        monkeypatch.setattr(campaign_mod.Workload, "golden",
+                            lambda self: wrong)
+        report = run_campaign(executors=("ckks",), injections=2, seed=1)
+        assert report.outcome_counts()["silent"] == 2
+        assert not report.ok
 
 
 class TestCli:
@@ -99,8 +111,30 @@ class TestCli:
         captured = capsys.readouterr().out
         assert "PASS" in captured
         payload = json.loads(out.read_text())
-        assert payload["injections"] == 4 and payload["ok"]
+        assert payload["injections"] == 4
+        assert payload["outcomes"]["corrected"] == 4
 
     def test_requires_mode(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_empty_campaign_fails(self, capsys):
+        assert main(["--campaign", "--executor", "ckks",
+                     "--injections", "0"]) == 1
+        assert "no events" in capsys.readouterr().out
+
+    def test_bench_sweeps_the_chosen_executor(self, tmp_path, monkeypatch):
+        swept = []
+
+        def fake_sweep(*, executor="ckks"):
+            swept.append(executor)
+            return []
+
+        monkeypatch.setattr("repro.recover.cli.recovery_latency_sweep",
+                            fake_sweep)
+        out = tmp_path / "bench.json"
+        assert main(["--bench", "--executor", "bgv", "--injections", "2",
+                     "--out", str(out)]) == 0
+        assert swept == ["bgv"]
+        campaign = json.loads(out.read_text())["campaign"]
+        assert campaign["executors"] == ["bgv"] and campaign["ok"] is True

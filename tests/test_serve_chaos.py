@@ -21,6 +21,13 @@ from repro.serve.chaos import (
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
+def _serve_cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-m", "repro.serve", *args],
+        capture_output=True, text=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+
+
 class TestChaosInjector:
     def test_plans_are_deterministic(self):
         specs = default_chaos_specs()
@@ -58,45 +65,79 @@ class TestChaosInjector:
 
 class TestChaosCampaign:
     def test_smoke_campaign_holds_the_contract(self):
-        outcome = run_chaos_campaign(requests=200, seed=4,
-                                     min_injections=30)
-        assert outcome.passed, outcome.violations
-        assert outcome.resolved == outcome.submitted == 200
-        assert outcome.hung == 0
-        assert outcome.silent == 0
-        assert outcome.untyped == 0
-        assert outcome.injections >= 30
-        # The mix actually exercised the machinery.
-        assert outcome.affected > 0
-        assert sum(outcome.outcomes.values()) == 200
+        report = run_chaos_campaign(requests=200, seed=4,
+                                    min_injections=30)
+        assert report.ok, report.violations()
+        assert report.fields["resolved"] == report.fields["submitted"] == 200
+        counts = report.outcome_counts()
+        assert counts["hung"] == counts["silent"] == counts["crash"] == 0
+        assert not report.findings  # no untyped result, bounded p99
+        assert report.fields["injected_faults"] >= 30
+        # The mix actually exercised the machinery: one event per
+        # affected request.
+        assert report.injections == len(
+            {e.detail["request_id"] for e in report.events}) > 0
+        assert counts["corrected"] > 0 and counts["detected"] > 0
 
     def test_campaign_is_deterministic(self):
         first = run_chaos_campaign(requests=150, seed=6, min_injections=1)
         second = run_chaos_campaign(requests=150, seed=6, min_injections=1)
-        assert first.injections == second.injections
-        assert first.by_site == second.by_site
-        assert first.affected == second.affected
+        assert first.fields["injected_faults"] == \
+            second.fields["injected_faults"]
+        assert first.fields["by_site"] == second.fields["by_site"]
+        assert [e.site for e in first.events] == [
+            e.site for e in second.events]
 
-    def test_cli_chaos_exits_zero_on_pass(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.serve", "--chaos",
-             "--requests", "150", "--min-injections", "20", "--seed", "2"],
-            capture_output=True, text=True, env={"PYTHONPATH": SRC,
-                                                 "PATH": "/usr/bin:/bin"})
-        assert proc.returncode == 0, proc.stderr
-        report = json.loads(proc.stdout)
-        assert report["passed"] is True
-        assert report["hung"] == 0 and report["silent"] == 0
+    def test_cli_chaos_exits_zero_on_pass(self, tmp_path):
+        out = tmp_path / "chaos.json"
+        proc = _serve_cli("--chaos", "--requests", "150",
+                          "--min-injections", "20", "--seed", "2",
+                          "--out", str(out))
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "PASS" in proc.stdout
+        report = json.loads(out.read_text())
+        assert report["bench"] == "chaos"
+        assert report["outcomes"]["hung"] == 0
+        assert report["outcomes"]["silent"] == 0
 
     def test_cli_chaos_exits_nonzero_on_infeasible_floor(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.serve", "--chaos",
-             "--requests", "30", "--min-injections", "100000"],
-            capture_output=True, text=True, env={"PYTHONPATH": SRC,
-                                                 "PATH": "/usr/bin:/bin"})
+        proc = _serve_cli("--chaos", "--requests", "30",
+                          "--min-injections", "100000")
         assert proc.returncode == 1
-        report = json.loads(proc.stdout)
-        assert report["passed"] is False
+        assert "injections realized" in proc.stdout
+        assert "FAIL" in proc.stdout
+
+    def test_cli_chaos_empty_campaign_fails(self):
+        proc = _serve_cli("--chaos", "--requests", "0",
+                          "--min-injections", "0")
+        assert proc.returncode == 1
+        assert "no events" in proc.stdout
+
+    def test_seeded_silent_value_fails_the_gate(self, monkeypatch):
+        """Blind the engine's integrity check while it serves: injected
+        corruptions go out as ``ok``, the campaign's re-verification
+        finds them silent, and the shared gate fails the campaign."""
+        from repro.serve import bench
+        from repro.serve.executor import SimulatedExecutor
+
+        serving = [True]
+        real_run_trace = bench.run_trace
+        real_verify = SimulatedExecutor.verify
+
+        async def run_trace(*args, **kwargs):
+            try:
+                return await real_run_trace(*args, **kwargs)
+            finally:
+                serving[0] = False
+
+        monkeypatch.setattr(bench, "run_trace", run_trace)
+        monkeypatch.setattr(
+            SimulatedExecutor, "verify",
+            lambda self, request, value: (
+                serving[0] or real_verify(self, request, value)))
+        report = run_chaos_campaign(requests=200, seed=4, min_injections=1)
+        assert report.outcome_counts()["silent"] > 0
+        assert not report.ok
 
 
 class TestBenchArtifact:
@@ -120,23 +161,3 @@ class TestBenchArtifact:
         assert validate_envelope(artifact) == []
         assert artifact["results"]["requests"] == 400
         assert artifact["config"]["mode"] == "closed"
-
-    def test_validate_envelope_cli_roundtrip(self, tmp_path):
-        artifact = run_bench(requests=200, seed=3, workers=4, rate=2000.0,
-                             time_scale=0.25)
-        path = tmp_path / "BENCH_serve.json"
-        path.write_text(json.dumps(artifact))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.serve",
-             "--validate-envelope", str(path)],
-            capture_output=True, text=True, env={"PYTHONPATH": SRC,
-                                                 "PATH": "/usr/bin:/bin"})
-        assert proc.returncode == 0, proc.stderr
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"schema": 0, "bench": ""}))
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.serve",
-             "--validate-envelope", str(bad)],
-            capture_output=True, text=True, env={"PYTHONPATH": SRC,
-                                                 "PATH": "/usr/bin:/bin"})
-        assert proc.returncode == 1

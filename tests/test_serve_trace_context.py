@@ -158,9 +158,9 @@ class TestChaosSpanContract:
         span-tree and attribution checks ride inside the campaign's own
         violation list when an observer is installed."""
         with observe() as observer:
-            outcome = run_chaos_campaign(requests=250, seed=11,
-                                         min_injections=40)
-        assert outcome.passed, outcome.violations
+            report = run_chaos_campaign(requests=250, seed=11,
+                                        min_injections=40)
+        assert report.ok, report.violations()
         traced = sum(c for tid, c in
                      per_trace_cycles(observer.tracer).items() if tid)
         assert traced == int(
